@@ -1,33 +1,32 @@
 // Shared configuration builders and CLI plumbing for the reproduction
-// benches (E1..E9, X1..X2, micro_core).
+// benches (E1..E9, X1..X3, rt_core, micro_core).
 // Conventions: T = 1000 ticks, closed loop = the paper's "heavy load",
 // open loop Poisson arrivals = "light load" (§5).
 //
-// Every bench accepts the same flags (parse_bench_flags):
-//   --jobs=N    worker threads for sweep-based suites (0 = all cores)
-//   --seeds=K   replications per row (overrides each suite's default)
-//   --quick     shrink warmup/measure windows ~8x (CI smoke)
-//   --check     attach the online invariant checker to every run; any
-//               violation fails the suite (exit 1 + "ok": false in JSON)
-//   --json[=PATH]  write machine-readable results (default BENCH_<suite>.json)
-//   --trace-out=FILE  also record one short run of the suite's first/
-//                 representative config and write a Chrome trace-event JSON
-//                 (load in chrome://tracing or ui.perfetto.dev)
+// Every bench reads its command line through one flag table
+// (common/flags.h via parse_bench_flags; `--flag value` = `--flag=value`,
+// --help lists them, a usage error exits 2):
+//   --jobs N  --seeds K  --quick  --check  --json[=PATH]  --trace-out FILE
+// --quick shrinks warmup/measure windows ~8x; --check fails the suite on
+// any invariant violation. rt_core adds --threads K; micro_core passes
+// --benchmark_* flags through to google-benchmark.
 #pragma once
 
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
+#include "common/json.h"
 #include "harness/experiment.h"
 #include "harness/table.h"
 #include "obs/chrome_trace.h"
@@ -59,88 +58,47 @@ struct BenchOptions {
   std::string suite;
 };
 
-inline void bench_usage(const char* suite) {
-  std::cerr << "usage: " << suite
-            << " [--jobs=N] [--seeds=K] [--quick] [--check] [--json[=PATH]]"
-               " [--trace-out=FILE] [--threads=K (rt suites only)]\n";
-}
-
-// Parses the shared bench flags; exits(2) on an unknown flag. Flags it
-// consumes are removed from argv (argc updated), so suites with their own
-// argument handling (micro_core's google-benchmark flags) can parse the
-// remainder. `accepts_threads` is opted into by real-threads suites
-// (rt_core); simulator suites reject --threads loudly — the discrete-event
-// engine is single-logical-threaded per run, so the flag would silently
-// mean nothing there.
-inline BenchOptions parse_bench_flags(int& argc, char** argv,
-                                      const std::string& suite,
-                                      bool accepts_threads = false) {
+// Parses the shared bench flags plus whatever `extra` registers (rt_core's
+// --threads, micro_core's --benchmark_ passthrough). Any positional
+// argument is a usage error. Passthrough arguments stay in argv (argc
+// updated) for the suite's own parser. Simulator suites reject --threads
+// loudly: the discrete-event engine is single-logical-threaded per run,
+// so the flag would silently mean nothing there.
+inline BenchOptions parse_bench_flags(
+    int& argc, char** argv, const std::string& suite,
+    const std::function<void(flags::Flags&, BenchOptions&)>& extra = {}) {
   BenchOptions o;
   o.suite = suite;
-  int keep = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--threads=", 0) == 0) {
-      if (!accepts_threads) {
-        std::cerr << suite
-                  << ": --threads is only meaningful for real-threads (rt) "
-                     "suites; this suite runs on the discrete-event "
-                     "simulator (use --jobs=N for sweep parallelism)\n";
-        std::exit(2);
-      }
-      o.threads = std::atoi(arg.c_str() + 10);
-      if (o.threads < 2) {
-        std::cerr << suite << ": --threads wants an integer >= 2\n";
-        std::exit(2);
-      }
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      o.jobs = std::atoi(arg.c_str() + 7);
-      if (o.jobs < 0) {
-        bench_usage(suite.c_str());
-        std::exit(2);
-      }
-    } else if (arg.rfind("--seeds=", 0) == 0) {
-      o.seeds = std::atoi(arg.c_str() + 8);
-      if (o.seeds < 1) {
-        bench_usage(suite.c_str());
-        std::exit(2);
-      }
-    } else if (arg == "--quick") {
-      o.quick = true;
-    } else if (arg == "--check") {
-      o.check = true;
-    } else if (arg == "--json") {
-      o.json = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      o.json = true;
-      o.json_path = arg.substr(7);
-    } else if (arg.rfind("--trace-out=", 0) == 0) {
-      o.trace_out = arg.substr(12);
-      if (o.trace_out.empty()) {
-        bench_usage(suite.c_str());
-        std::exit(2);
-      }
-    } else if (arg == "--help" || arg == "-h") {
-      bench_usage(suite.c_str());
-      std::exit(0);
-    } else {
-      argv[keep++] = argv[i];  // not ours — leave for the suite
-    }
-  }
-  argc = keep;
+  flags::Flags f(suite);
+  f.value("--jobs", &o.jobs, "N",
+          "worker threads for sweep-based suites (0 = all cores)")
+      .min(0)
+      .value("--seeds", &o.seeds, "K",
+             "replications per row (overrides the suite's default)")
+      .min(1)
+      .toggle("--quick", &o.quick, "shrink warmup/measure windows ~8x")
+      .toggle("--check", &o.check,
+              "attach the invariant checker to every run; a violation\n"
+              "fails the suite")
+      .optional("--json", &o.json, &o.json_path, "PATH",
+                "write machine-readable results (default BENCH_" + suite +
+                    ".json)")
+      .value("--trace-out", &o.trace_out, "FILE",
+             "Chrome trace-event JSON of one short representative run");
+  if (extra) extra(f, o);
+  if (!f.has("--threads"))
+    f.custom("--threads", "K", "", [](const std::string&) {
+      throw flags::Error(
+          "--threads is only meaningful for real-threads (rt) suites; this "
+          "suite runs on the discrete-event simulator (use --jobs=N for "
+          "sweep parallelism)");
+    });
+  const std::vector<std::string> positional = f.parse(argc, argv);
+  if (!positional.empty())
+    f.fail("unknown argument '" + positional.front() + "'");
   if (o.json && o.json_path.empty()) o.json_path = "BENCH_" + suite + ".json";
   if (o.quick) g_time_divisor = 8;
   return o;
-}
-
-// For suites with no argument handling of their own: a leftover argument is
-// a typo'd flag, and silently running with defaults would masquerade as the
-// requested run. micro_core skips this (google-benchmark flags pass through).
-inline void reject_extra_args(int argc, char** argv, const std::string& suite) {
-  if (argc <= 1) return;
-  std::cerr << suite << ": unknown argument '" << argv[1] << "'\n";
-  bench_usage(suite.c_str());
-  std::exit(2);
 }
 
 inline harness::ExperimentConfig heavy(mutex::Algo algo, int n,
@@ -212,14 +170,6 @@ inline void maybe_write_trace(const BenchOptions& opts,
             << ")\n";
 }
 
-// Prints the standard integrity line every bench ends with: the run is
-// only meaningful if Theorems 1-3 held.
-inline void print_integrity(const harness::ExperimentResult& r) {
-  std::cout << "  [integrity] violations=" << r.summary.violations
-            << " drained_clean=" << (r.drained_clean ? "yes" : "NO")
-            << " completed=" << r.summary.completed << "\n";
-}
-
 // --- machine-readable results (BENCH_*.json) --------------------------
 
 struct JsonMetric {
@@ -227,15 +177,6 @@ struct JsonMetric {
   double mean = 0;
   double sd = 0;
 };
-
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
 
 inline std::string json_num(double v) {
   char buf[64];
@@ -259,9 +200,9 @@ inline void write_provenance(std::ostream& f) {
   if (gmtime_r(&t, &tmv) != nullptr)
     std::strftime(date, sizeof date, "%Y-%m-%dT%H:%M:%SZ", &tmv);
   const char* commit = std::getenv("DQME_COMMIT");
-  f << "\"provenance\": {\"host\": \"" << json_escape(host)
-    << "\", \"date\": \"" << date << "\", \"commit\": \""
-    << json_escape(commit != nullptr ? commit : "unknown") << "\"}";
+  f << "\"provenance\": {\"host\": " << json_quote(host)
+    << ", \"date\": \"" << date << "\", \"commit\": "
+    << json_quote(commit != nullptr ? commit : "unknown") << "}";
 }
 
 // One flat, self-describing file per suite so the perf trajectory can be
@@ -289,7 +230,7 @@ inline void write_bench_json(const BenchOptions& opts, bool ok,
     return;
   }
   f << "{\n"
-    << "  \"suite\": \"" << json_escape(opts.suite) << "\",\n"
+    << "  \"suite\": " << json_quote(opts.suite) << ",\n"
     << "  \"ok\": " << (ok ? "true" : "false") << ",\n"
     << "  \"jobs\": " << opts.jobs << ",\n"
     << "  \"seeds\": " << opts.seeds << ",\n"
@@ -301,9 +242,9 @@ inline void write_bench_json(const BenchOptions& opts, bool ok,
   f << ",\n"
     << "  \"metrics\": [";
   for (size_t i = 0; i < metrics.size(); ++i) {
-    f << (i ? "," : "") << "\n    {\"suite\": \"" << json_escape(opts.suite)
-      << "\", \"metric\": \"" << json_escape(metrics[i].metric)
-      << "\", \"mean\": " << json_num(metrics[i].mean)
+    f << (i ? "," : "") << "\n    {\"suite\": " << json_quote(opts.suite)
+      << ", \"metric\": " << json_quote(metrics[i].metric)
+      << ", \"mean\": " << json_num(metrics[i].mean)
       << ", \"sd\": " << json_num(metrics[i].sd) << "}";
   }
   f << "\n  ]";
@@ -326,40 +267,5 @@ inline void write_bench_json(const BenchOptions& opts, bool ok,
   f << "\n}\n";
   std::cout << "  [json] wrote " << opts.json_path << "\n";
 }
-
-// Minimal flags + JSON plumbing for suites not yet ported to bench::Runner
-// (follow-up: port them row-by-row like e1/e3/e7). --quick takes effect
-// through the heavy()/open_load() builders; --jobs/--seeds are accepted
-// for CLI uniformity but only sweep-based suites use them; --json records
-// suite, ok, wall_ms (no per-metric rows until the port).
-class SuiteGuard {
- public:
-  SuiteGuard(int& argc, char** argv, const std::string& suite)
-      : opts_(parse_bench_flags(argc, argv, suite)),
-        start_(std::chrono::steady_clock::now()) {
-    reject_extra_args(argc, argv, suite);
-  }
-
-  const BenchOptions& options() const { return opts_; }
-
-  // Honors --trace-out for unported suites: call once with the suite's
-  // representative config (no-op unless the flag was given).
-  void trace(const harness::ExperimentConfig& cfg) const {
-    maybe_write_trace(opts_, cfg);
-  }
-
-  // Call as the last statement of main: emits JSON, returns the exit code.
-  int finish(bool ok) const {
-    const double wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - start_)
-                               .count();
-    write_bench_json(opts_, ok, wall_ms, 0, {});
-    return ok ? 0 : 1;
-  }
-
- private:
-  BenchOptions opts_;
-  std::chrono::steady_clock::time_point start_;
-};
 
 }  // namespace dqme::bench

@@ -16,7 +16,6 @@ int main(int argc, char** argv) {
   using harness::Table;
 
   auto opts = bench::parse_bench_flags(argc, argv, "e2_message_complexity");
-  bench::reject_extra_args(argc, argv, "e2_message_complexity");
 
   const bench::MetricDef kWire{
       "wire_msgs_per_cs",

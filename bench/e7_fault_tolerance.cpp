@@ -21,7 +21,6 @@ int main(int argc, char** argv) {
   using harness::Table;
 
   auto opts = bench::parse_bench_flags(argc, argv, "e7_fault_tolerance");
-  bench::reject_extra_args(argc, argv, "e7_fault_tolerance");
 
   std::cout << "E7a — availability vs per-site failure probability p\n"
             << "(N=15/16; exact where 2^N is feasible, else Monte-Carlo "

@@ -17,7 +17,6 @@ int main(int argc, char** argv) {
   using harness::Table;
 
   auto opts = bench::parse_bench_flags(argc, argv, "e8_case_analysis");
-  bench::reject_extra_args(argc, argv, "e8_case_analysis");
 
   const bench::MetricDef kWire{
       "wire_msgs_per_cs",

@@ -272,7 +272,13 @@ BENCHMARK(BM_EndToEndSimulatedSecond)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = dqme::bench::parse_bench_flags(argc, argv, "micro_core");
+  auto opts = dqme::bench::parse_bench_flags(
+      argc, argv, "micro_core",
+      [](dqme::flags::Flags& f, dqme::bench::BenchOptions&) {
+        f.passthrough("--benchmark_",
+                      "google-benchmark flags, passed through (full runs "
+                      "only)");
+      });
 
   const auto wall_start = std::chrono::steady_clock::now();
   const uint64_t events = opts.quick ? 200'000 : 1'000'000;

@@ -44,9 +44,12 @@ struct Row {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = bench::parse_bench_flags(argc, argv, "rt_core",
-                                       /*accepts_threads=*/true);
-  bench::reject_extra_args(argc, argv, "rt_core");
+  auto opts = bench::parse_bench_flags(
+      argc, argv, "rt_core", [](flags::Flags& f, bench::BenchOptions& o) {
+        f.value("--threads", &o.threads, "K",
+                "run only the grid rows with this many sites (pump threads)")
+            .min(2);
+      });
   const auto wall_start = std::chrono::steady_clock::now();
 
   const struct {

@@ -1,9 +1,8 @@
 // Unified bench runner: declarative rows (label + config + metric lambdas)
 // executed as ONE parallel sweep over (rows × seeds) through
 // harness::SweepRunner, honoring the shared --jobs/--seeds/--quick/--json
-// flags from bench_util.h. The integrity line (print_integrity's job in the
-// hand-rolled era) and the BENCH_<suite>.json emission are folded into
-// finish().
+// flags from bench_util.h. The integrity check and the BENCH_<suite>.json
+// emission are folded into finish().
 //
 // Usage shape:
 //   auto opts = bench::parse_bench_flags(argc, argv, "e3_sync_delay");

@@ -93,7 +93,6 @@ int main(int argc, char** argv) {
   using harness::Table;
 
   auto opts = dqme::bench::parse_bench_flags(argc, argv, "x1_replica_control");
-  dqme::bench::reject_extra_args(argc, argv, "x1_replica_control");
 
   auto gauge_of = [](const char* name) {
     return [name](const ExperimentResult& r) {

@@ -4,18 +4,11 @@
 #include <string_view>
 #include <tuple>
 
+#include "common/json.h"
+
 namespace dqme::obs {
 
 namespace {
-
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
 
 // Emits one trace event object. `args_json` is pre-rendered ("{...}") or
 // empty. Keeps every record on one line so the file greps well.

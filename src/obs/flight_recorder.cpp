@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/json.h"
 #include "obs/span.h"
 
 namespace dqme::obs {
@@ -15,15 +16,6 @@ namespace {
 
 // Dedicated lane for checker violations, far above any plausible SiteId.
 constexpr SiteId kCheckerLane = 1'000'000;
-
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
 
 std::string_view kind_name(FlightRecorder::Kind k) {
   switch (k) {

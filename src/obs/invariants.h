@@ -7,8 +7,12 @@
 //   (a) safety      — at most one site inside the CS (Theorem 1, checked
 //                     from span edges independently of harness::Metrics),
 //                     and each arbiter's lock granted to at most one
-//                     requester at a time (the §3 mechanism, a crash-aware
-//                     generalisation of harness::PermissionAuditor);
+//                     requester at a time (the §3 mechanism behind
+//                     Theorem 1: the per-(lock, arbiter) permission
+//                     ledger, crash-aware; the repo's only permission
+//                     checker). Grants to a request that is not open are
+//                     stale and ignored, so scripted traffic must issue
+//                     the grantee's span first;
 //   (b) conservation— every `transfer` an arbiter sends its lock holder is
 //                     eventually discharged: by the proxy-forwarded `reply`,
 //                     a parameterized `release`, a `yield`, or a crash of

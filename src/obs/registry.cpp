@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/json.h"
+
 namespace dqme::obs {
 
 // Exact doubling walk rather than std::log2: boundary samples (v == lo*2^b)
@@ -119,19 +121,6 @@ void Registry::merge(const Registry& other) {
       it->second.merge(h);
   }
 }
-
-namespace {
-
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
-}  // namespace
 
 void Registry::write_json(std::ostream& os) const {
   os << "{\"counters\": {";

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/json.h"
+
 namespace dqme::obs {
 
 Timeline::Counter& Timeline::counter(std::string_view name) {
@@ -108,19 +110,6 @@ void Timeline::merge(const Timeline& other) {
   markers_.erase(std::unique(markers_.begin(), markers_.end()),
                  markers_.end());
 }
-
-namespace {
-
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
-}  // namespace
 
 void Timeline::write_json(std::ostream& os) const {
   const size_t k = num_windows();

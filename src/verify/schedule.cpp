@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "common/json.h"
 
 namespace dqme::verify {
 
@@ -138,19 +139,6 @@ bool decode_actions(const std::string& text, std::vector<Action>& out) {
   }
   return true;
 }
-
-namespace {
-
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
-}  // namespace
 
 bool json_field_str(const std::string& text, const std::string& key,
                     std::string& out) {

@@ -7,6 +7,7 @@
 #include "core/cao_singhal.h"
 #include "core/failure_detector.h"
 #include "harness/experiment.h"
+#include "harness/sweep.h"
 #include "net/trace.h"
 #include "quorum/factory.h"
 
@@ -133,11 +134,11 @@ TEST(Contracts, ReplicateRequiresAtLeastOneRun) {
   cfg.n = 4;
   cfg.warmup = 1000;
   cfg.measure = 1000;
-  EXPECT_THROW(
-      harness::replicate(cfg, 0, [](const harness::ExperimentResult&) {
-        return 0.0;
-      }),
-      CheckError);
+  EXPECT_THROW(harness::aggregate(harness::replicate(cfg, 0),
+                                  [](const harness::ExperimentResult&) {
+                                    return 0.0;
+                                  }),
+               CheckError);
 }
 
 TEST(Contracts, ExperimentRejectsOutOfRangeCrashVictim) {

@@ -7,6 +7,7 @@
 #include "net/network.h"
 #include "harness/experiment.h"
 #include "harness/metrics.h"
+#include "harness/sweep.h"
 #include "quorum/factory.h"
 #include "harness/table.h"
 
@@ -347,27 +348,6 @@ TEST(Experiment, ClusteredDelayEndToEnd) {
   EXPECT_GT(r.summary.completed, 0u);
 }
 
-TEST(Experiment, AuditedRunReportsGrants) {
-  ExperimentConfig cfg;
-  cfg.algo = mutex::Algo::kCaoSinghal;
-  cfg.n = 9;
-  cfg.audit_permissions = true;
-  cfg.warmup = 50'000;
-  cfg.measure = 300'000;
-  ExperimentResult r = run_experiment(cfg);
-  EXPECT_EQ(r.permission_violations, 0u);
-  EXPECT_GT(r.permission_grants_audited, 100u);
-}
-
-TEST(Experiment, AuditWithCrashesIsRejected) {
-  ExperimentConfig cfg;
-  cfg.algo = mutex::Algo::kCaoSinghal;
-  cfg.n = 9;
-  cfg.audit_permissions = true;
-  cfg.crashes.push_back({1000, 2});
-  EXPECT_THROW(run_experiment(cfg), CheckError);
-}
-
 TEST(Experiment, ReplicateAggregatesAcrossSeeds) {
   ExperimentConfig cfg;
   cfg.algo = mutex::Algo::kCaoSinghal;
@@ -375,7 +355,7 @@ TEST(Experiment, ReplicateAggregatesAcrossSeeds) {
   cfg.delay_kind = ExperimentConfig::DelayKind::kUniform;
   cfg.warmup = 50'000;
   cfg.measure = 200'000;
-  auto rep = replicate(cfg, 4, [](const ExperimentResult& r) {
+  auto rep = aggregate(replicate(cfg, 4), [](const ExperimentResult& r) {
     return static_cast<double>(r.summary.completed);
   });
   EXPECT_GT(rep.mean, 0.0);

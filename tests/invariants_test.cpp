@@ -60,6 +60,33 @@ TEST(InvariantChecker, CleanAcrossCrashRecovery) {
       << (r.invariant_reports.empty() ? "" : r.invariant_reports.front());
 }
 
+// The per-arbiter permission ledger stays quiet under jittered delays,
+// across seeds and quorum constructions, for both quorum protocols.
+TEST(InvariantChecker, CleanUnderJitterAcrossSeedsAndQuorums) {
+  struct Case {
+    Algo algo;
+    int n;
+    const char* quorum;
+    uint64_t seed;
+  };
+  std::vector<Case> cases = {{Algo::kMaekawa, 16, "grid", 5},
+                             {Algo::kCaoSinghal, 13, "fpp", 7},
+                             {Algo::kCaoSinghal, 9, "majority", 7}};
+  for (uint64_t seed = 1; seed <= 10; ++seed)
+    cases.push_back({Algo::kCaoSinghal, 9, "grid", seed});
+  for (const Case& c : cases) {
+    ExperimentConfig cfg =
+        checked(testing::heavy_cfg(c.algo, c.n, c.seed, c.quorum));
+    cfg.delay_kind = ExperimentConfig::DelayKind::kUniform;
+    cfg.measure = 200'000;
+    const ExperimentResult r = testing::run_checked(cfg);
+    EXPECT_EQ(r.invariant_violations, 0u)
+        << c.quorum << " seed " << c.seed << ": "
+        << (r.invariant_reports.empty() ? "" : r.invariant_reports.front());
+    EXPECT_GT(r.invariant_checks, 100u) << c.quorum;
+  }
+}
+
 TEST(InvariantChecker, DeterministicAcrossRepeatRuns) {
   const ExperimentConfig cfg =
       checked(testing::heavy_cfg(Algo::kCaoSinghal, 25, 11));
@@ -138,13 +165,19 @@ TEST(InvariantChecker, LocksAreIndependentCriticalSections) {
 TEST(InvariantChecker, PermissionLedgerIsKeyedPerLock) {
   Script s;
   s.checker.on_span_issue(1, kLock0, span_of(kR1), 0);
-  s.checker.on_span_issue(2, LockId{5}, span_of(kR2), 0);
-  // Arbiter 0 grants site 1 on lock 0 and site 2 on lock 5 concurrently:
+  s.checker.on_span_issue(2, LockId{4}, span_of(kR2), 0);
+  // Arbiter 0 grants site 1 on lock 0 and site 2 on lock 4 concurrently:
   // two locks, two independent permissions, no violation.
   s.checker.observe(s.wire(net::make_reply(0, kR1), 0, 1, 5), kLock0, 10);
-  s.checker.observe(s.wire(net::make_reply(0, kR2), 0, 2, 6), LockId{5}, 11);
+  s.checker.observe(s.wire(net::make_reply(0, kR2), 0, 2, 6), LockId{4}, 11);
   EXPECT_EQ(s.checker.violations(), 0u)
       << s.checker.reports().front();
+  // A true double grant within lock 4 is reported with the lock named.
+  const ReqId r3{30, 3};
+  s.checker.on_span_issue(3, LockId{4}, span_of(r3), 12);
+  s.checker.observe(s.wire(net::make_reply(0, r3), 0, 3, 13), LockId{4}, 18);
+  EXPECT_EQ(s.checker.violations(), 1u);
+  EXPECT_NE(s.checker.reports().front().find("[lock 4]"), std::string::npos);
 }
 
 TEST(InvariantChecker, FlagsDoubleGrant) {
@@ -155,7 +188,7 @@ TEST(InvariantChecker, FlagsDoubleGrant) {
   EXPECT_EQ(s.checker.violations(), 0u);
   s.checker.observe(s.wire(net::make_reply(0, kR2), 0, 2, 6), 11);
   EXPECT_EQ(s.checker.violations(), 1u);
-  EXPECT_NE(s.checker.reports().front().find("permission"),
+  EXPECT_NE(s.checker.reports().front().find("still holds its permission"),
             std::string::npos);
 }
 
@@ -167,6 +200,38 @@ TEST(InvariantChecker, FlagsForwardWithoutHolding) {
   EXPECT_EQ(s.checker.violations(), 1u);
   EXPECT_NE(s.checker.reports().front().find("forwarded"),
             std::string::npos);
+}
+
+TEST(InvariantChecker, FlagsForwardFromNonHolder) {
+  Script s;
+  s.checker.on_span_issue(1, kLock0, span_of(kR1), 0);
+  s.checker.on_span_issue(2, kLock0, span_of(kR2), 0);
+  s.checker.observe(s.wire(net::make_reply(0, kR1), 0, 1, 5), 10);
+  // Site 3, not the holder (site 1), forwards arbiter 0's permission.
+  s.checker.observe(s.wire(net::make_reply(0, kR2), 3, 2, 12), 20);
+  EXPECT_EQ(s.checker.violations(), 1u);
+  EXPECT_NE(s.checker.reports().front().find("without holding it (holder: 1)"),
+            std::string::npos);
+}
+
+// §3 Step C: the holder forwards the arbiter's reply and sends the
+// arbiter a parameterized release. The two race on different channels,
+// and neither arrival order is a violation.
+TEST(InvariantChecker, AcceptsLegalHandoffEitherMessageOrder) {
+  for (const bool release_first : {false, true}) {
+    Script s;
+    s.checker.on_span_issue(1, kLock0, span_of(kR1), 0);
+    s.checker.on_span_issue(2, kLock0, span_of(kR2), 0);
+    s.checker.observe(s.wire(net::make_reply(0, kR1), 0, 1, 5), 10);
+    const net::Message release =
+        s.wire(net::make_release(kR1, kR2), 1, 0, 20);
+    const net::Message forward = s.wire(net::make_reply(0, kR2), 1, 2, 20);
+    s.checker.observe(release_first ? release : forward, 30);
+    s.checker.observe(release_first ? forward : release, 31);
+    EXPECT_EQ(s.checker.violations(), 0u)
+        << "release_first=" << release_first << ": "
+        << s.checker.reports().front();
+  }
 }
 
 TEST(InvariantChecker, FlagsLostTransferAtFinish) {

@@ -87,6 +87,8 @@ class JsonChecker {
     for (++pos_; pos_ < s_.size(); ++pos_) {
       if (s_[pos_] == '\\') { ++pos_; continue; }
       if (s_[pos_] == '"') { ++pos_; return true; }
+      // Like any strict parser: raw control characters are invalid.
+      if (static_cast<unsigned char>(s_[pos_]) < 0x20) return false;
     }
     return false;
   }
@@ -186,6 +188,21 @@ TEST(ChromeTrace, EmitsSyntacticallyValidJson) {
   EXPECT_TRUE(JsonChecker(json).valid()) << json.substr(0, 400);
   EXPECT_NE(json.find("\"traceEvents\": ["), std::string::npos);
   EXPECT_NE(json.find("\"displayTimeUnit\": \"ms\""), std::string::npos);
+}
+
+// Labels are free text (a replayed schedule's path, a suite name): quotes,
+// tabs and newlines must come out escaped, or a strict parser rejects the
+// whole file.
+TEST(ChromeTrace, ControlCharactersInLabelsAreEscaped) {
+  ChromeTraceData data;
+  data.n_sites = 1;
+  data.label = "replay of a\tb\n\"c\"\x01.json";
+  std::ostringstream os;
+  write_chrome_trace(os, data);
+  EXPECT_TRUE(JsonChecker(os.str()).valid()) << os.str();
+  EXPECT_NE(os.str().find(R"(replay of a\tb\n\"c\"\u0001.json)"),
+            std::string::npos)
+      << os.str();
 }
 
 TEST(ChromeTrace, EveryLaneIsNamedAndEveryBeginHasItsEnd) {

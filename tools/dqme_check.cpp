@@ -32,9 +32,12 @@
 #include <string>
 #include <vector>
 
-#include "net/network.h"
+#include "common/flags.h"
+#include "common/json.h"
 #include "harness/experiment.h"
+#include "harness/experiment_flags.h"
 #include "harness/table.h"
+#include "net/network.h"
 #include "obs/flight_recorder.h"
 #include "obs/invariants.h"
 #include "obs/model.h"
@@ -44,39 +47,7 @@ namespace {
 
 using namespace dqme;
 
-void usage(const char* argv0) {
-  std::cout
-      << "usage: " << argv0 << " [mode] [options]\n"
-      << "modes:\n"
-      << "  (default)        run one checked experiment\n"
-      << "  --selftest       verify the checker detects seeded violations\n"
-      << "  --trace FILE     structural check of a Chrome trace JSON\n"
-      << "  --preset smoke   CI matrix: invariants + model conformance\n"
-      << "options (single run / preset):\n"
-      << "  --algo NAME --n N --quorum KIND --t TICKS\n"
-      << "  --load closed|open --rate R --seed S\n"
-      << "  --warmup TICKS --measure TICKS --ft --crash T:SITE\n"
-      << "  --liveness-bound TICKS   override the auto watchdog bound\n"
-      << "  --tolerance X    max model divergence (default 0.05; single\n"
-      << "                   run gates on it only when given explicitly)\n"
-      << "  --report-out FILE  write a JSON verdict\n"
-      << "  --flightrec-out PATH\n"
-      << "                   black-box flight recorder: single run / smoke\n"
-      << "                   rows dump PATH(-row) on the first violation;\n"
-      << "                   selftest uses PATH as the per-case dump prefix\n"
-      << "                   (default flightrec_selftest_)\n";
-}
-
 // ------------------------------------------------------------ JSON report
-
-void json_escape(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
 
 struct Report {
   std::string mode;
@@ -88,19 +59,19 @@ struct Report {
 
   void write(std::ostream& os) const {
     os << "{\"mode\": ";
-    json_escape(os, mode);
+    write_json_string(os, mode);
     os << ", \"ok\": " << (ok ? "true" : "false")
        << ", \"checks\": " << checks << ", \"violations\": " << violations
        << ", \"stats\": {";
     for (size_t i = 0; i < stats.size(); ++i) {
       if (i) os << ", ";
-      json_escape(os, stats[i].first);
+      write_json_string(os, stats[i].first);
       os << ": " << stats[i].second;
     }
     os << "}, \"notes\": [";
     for (size_t i = 0; i < notes.size(); ++i) {
       if (i) os << ", ";
-      json_escape(os, notes[i]);
+      write_json_string(os, notes[i]);
     }
     os << "]}\n";
   }
@@ -487,17 +458,11 @@ void describe_run(const harness::ExperimentConfig& cfg,
   (void)cfg;
 }
 
-int run_single(harness::ExperimentConfig cfg, double rate, double tolerance,
+int run_single(harness::ExperimentConfig cfg, double tolerance,
                bool gate_divergence, const std::string& report_out,
                const std::string& flightrec_out) {
   cfg.check_invariants = true;
   cfg.flight_recorder_dump = flightrec_out;
-  if (cfg.workload.mode == harness::Workload::Config::Mode::kOpen) {
-    const double capacity = 1.0 / static_cast<double>(
-                                      2 * cfg.mean_delay +
-                                      cfg.workload.cs_duration);
-    cfg.workload.arrival_rate = rate * capacity / cfg.n;
-  }
   const harness::ExperimentResult r = harness::run_experiment(cfg);
 
   std::cout << "dqme_check: " << mutex::to_string(cfg.algo)
@@ -616,95 +581,32 @@ int main(int argc, char** argv) try {
   bool selftest = false;
   std::string trace_path, preset, report_out, flightrec_out;
 
-  for (int i = 1; i < argc; ++i) {
-    // Accept both "--flag value" and "--flag=value" (CI uses the latter).
-    std::string a = argv[i];
-    std::string inline_val;
-    bool has_inline = false;
-    if (a.rfind("--", 0) == 0) {
-      const auto eq = a.find('=');
-      if (eq != std::string::npos) {
-        inline_val = a.substr(eq + 1);
-        a.resize(eq);
-        has_inline = true;
-      }
-    }
-    auto next = [&]() -> const char* {
-      if (has_inline) {
-        has_inline = false;
-        return inline_val.c_str();
-      }
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << a << "\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--help" || a == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else if (a == "--selftest") {
-      selftest = true;
-    } else if (a == "--trace") {
-      trace_path = next();
-    } else if (a == "--preset") {
-      preset = next();
-    } else if (a == "--report-out") {
-      report_out = next();
-    } else if (a == "--flightrec-out") {
-      flightrec_out = next();
-    } else if (a == "--tolerance") {
-      tolerance = std::atof(next());
-      gate_divergence = true;
-    } else if (a == "--algo") {
-      cfg.algo = mutex::algo_from_string(next());
-    } else if (a == "--n") {
-      cfg.n = std::atoi(next());
-    } else if (a == "--quorum") {
-      cfg.quorum = next();
-    } else if (a == "--t") {
-      cfg.mean_delay = std::atoll(next());
-    } else if (a == "--load") {
-      const std::string mode = next();
-      if (mode == "closed")
-        cfg.workload.mode = harness::Workload::Config::Mode::kClosed;
-      else if (mode == "open")
-        cfg.workload.mode = harness::Workload::Config::Mode::kOpen;
-      else {
-        std::cerr << "unknown load mode: " << mode << "\n";
-        return 2;
-      }
-    } else if (a == "--rate") {
-      rate = std::atof(next());
-    } else if (a == "--warmup") {
-      cfg.warmup = std::atoll(next());
-    } else if (a == "--measure") {
-      cfg.measure = std::atoll(next());
-    } else if (a == "--seed") {
-      cfg.seed = static_cast<uint64_t>(std::atoll(next()));
-    } else if (a == "--ft") {
-      cfg.options.fault_tolerant = true;
-    } else if (a == "--liveness-bound") {
-      cfg.liveness_bound = std::atoll(next());
-    } else if (a == "--crash") {
-      const std::string spec = next();
-      const auto colon = spec.find(':');
-      if (colon == std::string::npos) {
-        std::cerr << "--crash expects T:SITE\n";
-        return 2;
-      }
-      cfg.crashes.push_back({std::atoll(spec.substr(0, colon).c_str()),
-                             std::atoi(spec.substr(colon + 1).c_str())});
-    } else {
-      std::cerr << "unknown option: " << a << "\n";
-      usage(argv[0]);
-      return 2;
-    }
-    if (has_inline) {
-      std::cerr << a << " does not take a value\n";
-      return 2;
-    }
-  }
+  flags::Flags f("dqme_check", "[mode] [options]");
+  f.section("modes (default: run one checked experiment):")
+      .toggle("--selftest", &selftest,
+              "verify the checker detects seeded violations")
+      .value("--trace", &trace_path, "FILE",
+             "structural check of a Chrome trace JSON")
+      .value("--preset", &preset, "smoke",
+             "CI matrix: invariants + model conformance")
+      .section("");
+  harness::add_experiment_flags(f, cfg, rate);
+  f.section("reporting:")
+      .custom("--tolerance", "X",
+              "max model divergence (default 0.05; a single run gates\n"
+              "on it only when given explicitly)",
+              [&](const std::string& v) {
+                tolerance = flags::to_double("--tolerance", v);
+                gate_divergence = true;
+              })
+      .value("--report-out", &report_out, "FILE", "write a JSON verdict")
+      .value("--flightrec-out", &flightrec_out, "PATH",
+             "black-box flight recorder: single run / smoke rows dump\n"
+             "PATH(-row) on the first violation; selftest uses PATH as\n"
+             "the per-case dump prefix (default flightrec_selftest_)");
+  const std::vector<std::string> positional = f.parse(argc, argv);
+  if (!positional.empty())
+    f.fail("unexpected argument '" + positional.front() + "'");
 
   if (selftest) return run_selftest(report_out, flightrec_out);
   if (!trace_path.empty()) return run_trace_check(trace_path, report_out);
@@ -715,7 +617,8 @@ int main(int argc, char** argv) try {
     }
     return run_smoke(tolerance, cfg.seed, report_out, flightrec_out);
   }
-  return run_single(cfg, rate, tolerance, gate_divergence, report_out,
+  harness::apply_open_rate(cfg, rate);
+  return run_single(cfg, tolerance, gate_divergence, report_out,
                     flightrec_out);
 } catch (const dqme::CheckError& e) {
   std::cerr << "configuration error: " << e.what() << "\n";

@@ -18,7 +18,7 @@
 //   --selftest   seeded known-path fixtures (hand-built event streams with
 //                known causes) + the --table1 gate; exit 0/1.
 //
-// usage: dqme_critpath [--algo=NAME] [--rounds=R] [--top=K]
+// usage: dqme_critpath [--algo NAME] [--rounds R] [--top K]
 //                      [--json[=PATH]] [--table1] [--selftest]
 #include <algorithm>
 #include <cstdio>
@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "mutex/factory.h"
 #include "net/network.h"
 #include "obs/critpath.h"
@@ -41,11 +42,6 @@ using namespace dqme;
 
 constexpr Time kT = 1000;   // constant message delay
 constexpr Time kE = 2 * kT; // CS duration; >= T keeps handoffs proxy-eligible
-
-void usage() {
-  std::cerr << "usage: dqme_critpath [--algo=NAME] [--rounds=R] [--top=K] "
-               "[--json[=PATH]] [--table1] [--selftest]\n";
-}
 
 // The span_test ping-pong rig: sites 2 and 7 of a 3x3 grid (overlapping
 // arbiters {1, 8}) alternate the CS in a closed loop — the deterministic
@@ -284,36 +280,25 @@ int main(int argc, char** argv) {
   size_t top = 3;
   bool json = false, table1 = false, selftest = false;
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--help" || a == "-h") {
-      usage();
-      return 0;
-    } else if (a.rfind("--algo=", 0) == 0) {
-      algo = mutex::algo_from_string(a.substr(7));
-    } else if (a.rfind("--rounds=", 0) == 0) {
-      rounds = std::atoi(a.c_str() + 9);
-      if (rounds < 1) {
-        usage();
-        return 2;
-      }
-    } else if (a.rfind("--top=", 0) == 0) {
-      top = static_cast<size_t>(std::atoll(a.c_str() + 6));
-    } else if (a == "--json") {
-      json = true;
-    } else if (a.rfind("--json=", 0) == 0) {
-      json = true;
-      json_path = a.substr(7);
-    } else if (a == "--table1") {
-      table1 = true;
-    } else if (a == "--selftest") {
-      selftest = true;
-    } else {
-      std::cerr << "dqme_critpath: unknown argument '" << a << "'\n";
-      usage();
-      return 2;
-    }
-  }
+  std::vector<std::pair<std::string, mutex::Algo>> algos;
+  for (const mutex::Algo a : mutex::all_algos())
+    algos.emplace_back(std::string(mutex::to_string(a)), a);
+  flags::Flags f("dqme_critpath");
+  f.choice("--algo", &algo, std::move(algos), "NAME",
+           "algorithm of the default scenario (default cao-singhal)")
+      .value("--rounds", &rounds, "R", "CS rounds per driver (default 6)")
+      .min(1)
+      .value("--top", &top, "K", "slowest paths to render (default 3)")
+      .optional("--json", &json, &json_path, "PATH",
+                "write the delay budget as JSON (stdout without PATH)")
+      .toggle("--table1", &table1,
+              "Table-1 gate: every contended cao-singhal tail is 1T,\n"
+              "every maekawa tail 2T")
+      .toggle("--selftest", &selftest,
+              "known-path fixtures plus the --table1 gate");
+  const std::vector<std::string> positional = f.parse(argc, argv);
+  if (!positional.empty())
+    f.fail("unexpected argument '" + positional.front() + "'");
   if (selftest) return run_selftest();
   if (table1) return run_table1(json, json_path, rounds);
 

@@ -29,6 +29,8 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
+#include "common/json.h"
 #include "obs/chrome_trace.h"
 #include "verify/explorer.h"
 #include "verify/parallel.h"
@@ -36,49 +38,6 @@
 namespace {
 
 using namespace dqme;
-
-void usage(const char* argv0) {
-  std::cout
-      << "usage: " << argv0 << " [options]\n"
-      << "  --algo NAME        protocol to check (default cao-singhal)\n"
-      << "  --n N              number of sites (default 3)\n"
-      << "  --quorum KIND      quorum construction (default grid)\n"
-      << "  --cs-per-site K    CS entries each site wants (default 2)\n"
-      << "  --depth D          truncate schedules after D actions (0 = off)\n"
-      << "  --budget S         stop after S complete schedules (0 = off)\n"
-      << "  --nodes M          stop after M explored actions (0 = off)\n"
-      << "  --crashes K        allow up to K crash actions per schedule\n"
-      << "  --crash-sites \"A B\"  candidate victims (default: site n-1)\n"
-      << "  --ft               §6 fault-tolerance layer (implied by\n"
-      << "                     --crashes > 0)\n"
-      << "  --mutate NAME      seeded fault: double-grant | lost-transfer |\n"
-      << "                     fifo-inversion | deadlock-ordering\n"
-      << "  --dpor MODE        dependence relation: source (default) |\n"
-      << "                     sleep (conservative, crash vs everything)\n"
-      << "  --workers K        parallel exploration with K worker threads\n"
-      << "                     (default 1; counts stay byte-identical)\n"
-      << "  --split-depth D    task-split depth for --workers (default 2)\n"
-      << "  --no-por           naive DFS, no reduction at all\n"
-      << "  --compare          run sleep and source DPOR, report the ratio\n"
-      << "  --compare-naive    run reduced and naive, report both + ratio\n"
-      << "  --keep-going       collect every violation, not just the first\n"
-      << "  --no-minimize      keep counterexamples unshrunk\n"
-      << "  --repro-out FILE   write the first violation as a replayable\n"
-      << "                     schedule (dqme_sim --replay-schedule FILE)\n"
-      << "  --trace-out FILE   Chrome trace of the first counterexample\n"
-      << "  --flightrec-out FILE  flight-recorder dump of the replayed\n"
-      << "                     counterexample (ring tail ends in the\n"
-      << "                     violation)\n"
-      << "  --json FILE        machine-readable report\n"
-      << "  --frontier-out FILE  serialize the remaining work when a budget\n"
-      << "                     suspends the search (resumable at any\n"
-      << "                     --workers count)\n"
-      << "  --resume FILE      continue from a saved frontier (v1 or v2)\n"
-      << "  --preset smoke     CI gate: cao-singhal + maekawa at N=3,\n"
-      << "                     bounded budget, expects 0 violations\n"
-      << "  --preset n4        CI gate: exhaustive cao-singhal N=4 with one\n"
-      << "                     crash, expects COMPLETE and 0 violations\n";
-}
 
 struct Options {
   verify::ExplorerConfig explorer;
@@ -97,111 +56,98 @@ struct Options {
   std::string preset;
 };
 
-bool parse_args(int argc, char** argv, Options& opt) {
+void parse_args(int& argc, char** argv, Options& opt) {
   verify::ExplorerConfig& ex = opt.explorer;
   ex.dpor = verify::Dpor::kSource;  // CLI default; the library stays kSleep
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    // Accept both "--flag value" and "--flag=value" (CI uses the latter).
-    const char* inline_value = nullptr;
-    if (a.rfind("--", 0) == 0) {
-      const size_t eq = a.find('=');
-      if (eq != std::string::npos) {
-        inline_value = argv[i] + eq + 1;
-        a.resize(eq);
-      }
-    }
-    auto next = [&]() -> const char* {
-      if (inline_value != nullptr) return inline_value;
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << a << "\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--help" || a == "-h") {
-      usage(argv[0]);
-      std::exit(0);
-    } else if (a == "--algo") {
-      ex.world.algo = mutex::algo_from_string(next());
-    } else if (a == "--n") {
-      ex.world.n = std::atoi(next());
-    } else if (a == "--quorum") {
-      ex.world.quorum = next();
-    } else if (a == "--cs-per-site") {
-      ex.world.cs_per_site = std::atoi(next());
-    } else if (a == "--depth") {
-      ex.max_depth = std::atoi(next());
-    } else if (a == "--budget") {
-      ex.max_schedules = static_cast<uint64_t>(std::atoll(next()));
-    } else if (a == "--nodes") {
-      ex.max_nodes = static_cast<uint64_t>(std::atoll(next()));
-    } else if (a == "--crashes") {
-      ex.world.max_crashes = std::atoi(next());
-    } else if (a == "--crash-sites") {
-      opt.crash_sites_set = true;
-      ex.world.crash_sites.clear();
-      std::istringstream sites(next());
-      SiteId s = kNoSite;
-      while (sites >> s) ex.world.crash_sites.push_back(s);
-    } else if (a == "--ft") {
-      opt.ft_set = true;
-    } else if (a == "--mutate") {
-      ex.world.mutation = verify::mutation_from_string(next());
-    } else if (a == "--dpor") {
-      ex.dpor = verify::dpor_from_string(next());
-    } else if (a == "--workers") {
-      opt.workers = std::atoi(next());
-      if (opt.workers < 1) opt.workers = 1;
-    } else if (a == "--split-depth") {
-      opt.split_depth = static_cast<size_t>(std::atoll(next()));
-    } else if (a == "--no-por") {
-      ex.por = false;
-    } else if (a == "--compare") {
-      opt.compare_dpor = true;
-    } else if (a == "--compare-naive") {
-      opt.compare_naive = true;
-    } else if (a == "--keep-going") {
-      ex.stop_on_violation = false;
-    } else if (a == "--no-minimize") {
-      ex.minimize = false;
-    } else if (a == "--repro-out") {
-      opt.repro_out = next();
-    } else if (a == "--trace-out") {
-      opt.trace_out = next();
-    } else if (a == "--flightrec-out") {
-      opt.flightrec_out = next();
-    } else if (a == "--json") {
-      opt.json_out = next();
-    } else if (a == "--frontier-out") {
-      opt.frontier_out = next();
-    } else if (a == "--resume") {
-      opt.resume = next();
-    } else if (a == "--preset") {
-      opt.preset = next();
-    } else {
-      std::cerr << "unknown option: " << a << "\n";
-      return false;
-    }
-  }
-  if (ex.world.max_crashes > 0) {
+  verify::WorldConfig& w = ex.world;
+  std::vector<std::pair<std::string, mutex::Algo>> algos;
+  for (const mutex::Algo a : mutex::all_algos())
+    algos.emplace_back(std::string(mutex::to_string(a)), a);
+  flags::Flags f("dqme_explore");
+  f.choice("--algo", &w.algo, std::move(algos), "NAME",
+           "protocol to check (default cao-singhal)")
+      .value("--n", &w.n, "N", "number of sites (default 3)")
+      .value("--quorum", &w.quorum, "KIND",
+             "quorum construction (default grid)")
+      .value("--cs-per-site", &w.cs_per_site, "K",
+             "CS entries each site wants (default 2)")
+      .value("--depth", &ex.max_depth, "D",
+             "truncate schedules after D actions (0 = off)")
+      .value("--budget", &ex.max_schedules, "S",
+             "stop after S complete schedules (0 = off)")
+      .value("--nodes", &ex.max_nodes, "M",
+             "stop after M explored actions (0 = off)")
+      .value("--crashes", &w.max_crashes, "K",
+             "allow up to K crash actions per schedule")
+      .custom("--crash-sites", "\"A B\"",
+              "candidate victims (default: site n-1)",
+              [&](const std::string& v) {
+                opt.crash_sites_set = true;
+                w.crash_sites.clear();
+                std::istringstream sites(v);
+                std::string site;
+                while (sites >> site)
+                  w.crash_sites.push_back(
+                      flags::to_number<SiteId>("--crash-sites", site));
+              })
+      .toggle("--ft", &opt.ft_set,
+              "§6 fault-tolerance layer (implied by --crashes > 0)")
+      .custom("--mutate", "NAME",
+              "seeded fault: double-grant | lost-transfer |\n"
+              "fifo-inversion | deadlock-ordering",
+              [&w](const std::string& v) {
+                w.mutation = verify::mutation_from_string(v);
+              })
+      .choice("--dpor", &ex.dpor,
+              {{"source", verify::Dpor::kSource},
+               {"sleep", verify::Dpor::kSleep}},
+              "MODE",
+              "dependence relation: source (default) | sleep\n"
+              "(conservative, crash vs everything)")
+      .value("--workers", &opt.workers, "K",
+             "parallel exploration with K worker threads (default 1;\n"
+             "counts stay byte-identical)")
+      .value("--split-depth", &opt.split_depth, "D",
+             "task-split depth for --workers (default 2)")
+      .toggle("--no-por", &ex.por, "naive DFS, no reduction at all", false)
+      .toggle("--compare", &opt.compare_dpor,
+              "run sleep and source DPOR, report the ratio")
+      .toggle("--compare-naive", &opt.compare_naive,
+              "run reduced and naive, report both + ratio")
+      .toggle("--keep-going", &ex.stop_on_violation,
+              "collect every violation, not just the first", false)
+      .toggle("--no-minimize", &ex.minimize, "keep counterexamples unshrunk",
+              false)
+      .value("--repro-out", &opt.repro_out, "FILE",
+             "write the first violation as a replayable schedule\n"
+             "(dqme_sim --replay-schedule FILE)")
+      .value("--trace-out", &opt.trace_out, "FILE",
+             "Chrome trace of the first counterexample")
+      .value("--flightrec-out", &opt.flightrec_out, "FILE",
+             "flight-recorder dump of the replayed counterexample\n"
+             "(ring tail ends in the violation)")
+      .value("--json", &opt.json_out, "FILE", "machine-readable report")
+      .value("--frontier-out", &opt.frontier_out, "FILE",
+             "serialize the remaining work when a budget suspends the\n"
+             "search (resumable at any --workers count)")
+      .value("--resume", &opt.resume, "FILE",
+             "continue from a saved frontier (v1 or v2)")
+      .value("--preset", &opt.preset, "NAME",
+             "smoke: CI gate, cao-singhal + maekawa at N=3, bounded\n"
+             "budget, expects 0 violations\n"
+             "n4: CI gate, exhaustive cao-singhal N=4 with one crash,\n"
+             "expects COMPLETE and 0 violations");
+  const std::vector<std::string> positional = f.parse(argc, argv);
+  if (!positional.empty())
+    f.fail("unexpected argument '" + positional.front() + "'");
+  if (opt.workers < 1) opt.workers = 1;
+  if (w.max_crashes > 0) {
     // Crash branching exercises the §6 recovery layer, which only the
     // fault-tolerant Cao-Singhal configuration implements.
-    ex.world.fault_tolerant = true;
-    if (!opt.crash_sites_set)
-      ex.world.crash_sites = {static_cast<SiteId>(ex.world.n - 1)};
+    w.fault_tolerant = true;
+    if (!opt.crash_sites_set) w.crash_sites = {static_cast<SiteId>(w.n - 1)};
   }
-  if (opt.ft_set) ex.world.fault_tolerant = true;
-  return true;
-}
-
-void write_json_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
+  if (opt.ft_set) w.fault_tolerant = true;
 }
 
 // One exploration — sequential or parallel — behind a single seam, so the
@@ -388,7 +334,7 @@ void write_json_report(std::ostream& os, const verify::ExplorerConfig& cfg,
     for (const std::string& rep : v.reports) {
       if (!first) os << ",";
       first = false;
-      write_json_escaped(os, rep);
+      write_json_string(os, rep);
     }
   os << "]}\n";
 }
@@ -548,10 +494,7 @@ int run_n4(const Options& opt) {
 
 int main(int argc, char** argv) try {
   Options opt;
-  if (!parse_args(argc, argv, opt)) {
-    usage(argv[0]);
-    return 2;
-  }
+  parse_args(argc, argv, opt);
   if (!opt.preset.empty()) {
     if (opt.preset == "smoke") return run_smoke(opt);
     if (opt.preset == "n4") return run_n4(opt);

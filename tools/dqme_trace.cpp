@@ -8,12 +8,12 @@
 // to one request's story, and --json exports the same run as Chrome
 // trace-event JSON for chrome://tracing / ui.perfetto.dev.
 //
-// Multi-lock service runs: --locks=M shards the scenario over M independent
+// Multi-lock service runs: --locks M shards the scenario over M independent
 // locks (the x3 lock-service shape, shrunk to readable size); every line
-// then carries its LockId, and --lock=ID slices the timeline — text or
+// then carries its LockId, and --lock ID slices the timeline — text or
 // Chrome JSON — down to one lock's story.
 //
-// --timeline=FILE is a render mode, no simulation: it reads the windowed
+// --timeline FILE is a render mode, no simulation: it reads the windowed
 // timeline JSON a bench emits under its "timeline" key (or a raw
 // obs::Timeline::write_json file) and prints each series as an ASCII
 // sparkline with markers. The timeline writer pins one series per line for
@@ -25,8 +25,8 @@
 // scripts/validate_trace.py --crit checks forms a single time-ordered
 // chain.
 //
-// usage: dqme_trace [N] [num_cs] [seed] [--span=SITE:SEQ] [--lock=ID]
-//                   [--locks=M] [--crit] [--json[=PATH]] [--timeline=FILE]
+// usage: dqme_trace [N] [num_cs] [seed] [--span SITE:SEQ] [--lock ID]
+//                   [--locks M] [--crit] [--json[=PATH]] [--timeline FILE]
 //   (defaults: 4 sites, 6 CS, seed 1; --json with no PATH writes stdout)
 #include <algorithm>
 #include <cstdlib>
@@ -36,21 +36,16 @@
 #include <string>
 #include <vector>
 
-#include "net/network.h"
+#include "common/flags.h"
 #include "core/cao_singhal.h"
 #include "harness/workload.h"
+#include "net/network.h"
 #include "net/trace.h"
 #include "obs/chrome_trace.h"
 #include "obs/critpath.h"
 #include "quorum/factory.h"
 
 namespace {
-
-void usage() {
-  std::cerr << "usage: dqme_trace [N] [num_cs] [seed] [--span=SITE:SEQ] "
-               "[--lock=ID] [--locks=M] [--crit] [--json[=PATH]] "
-               "[--timeline=FILE]\n";
-}
 
 // ---- --timeline render mode -------------------------------------------
 // Line-oriented scan of obs::Timeline::write_json output: the writer emits
@@ -233,7 +228,6 @@ int render_timeline(const std::string& path) {
 int main(int argc, char** argv) {
   using namespace dqme;
 
-  std::vector<std::string> positional;
   bool json = false;
   std::string json_path;  // empty = stdout
   SpanId only_span = kNoSpan;
@@ -241,65 +235,47 @@ int main(int argc, char** argv) {
   LockId num_locks = 1;
   bool crit = false;
   std::string timeline_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--help" || a == "-h") {
-      usage();
-      return 0;
-    } else if (a == "--json") {
-      json = true;
-    } else if (a.rfind("--json=", 0) == 0) {
-      json = true;
-      json_path = a.substr(7);
-    } else if (a.rfind("--span=", 0) == 0) {
-      only_span = obs::parse_span(a.substr(7));
-      if (only_span == kNoSpan) {
-        std::cerr << "dqme_trace: bad span '" << a.substr(7)
-                  << "' (expected SITE:SEQ or a packed id)\n";
-        return 2;
-      }
-    } else if (a.rfind("--lock=", 0) == 0) {
-      only_lock = static_cast<LockId>(std::atoll(a.substr(7).c_str()));
-      if (only_lock < 0) {
-        std::cerr << "dqme_trace: bad lock id '" << a.substr(7) << "'\n";
-        return 2;
-      }
-    } else if (a.rfind("--locks=", 0) == 0) {
-      num_locks = static_cast<LockId>(std::atoll(a.substr(8).c_str()));
-      if (num_locks < 1) {
-        std::cerr << "dqme_trace: --locks needs a positive count\n";
-        return 2;
-      }
-    } else if (a == "--crit") {
-      crit = true;
-    } else if (a.rfind("--timeline=", 0) == 0) {
-      timeline_path = a.substr(11);
-    } else if (a.rfind("--", 0) == 0) {
-      std::cerr << "dqme_trace: unknown flag '" << a << "'\n";
-      usage();
-      return 2;
-    } else {
-      positional.push_back(a);
-    }
-  }
+  flags::Flags f("dqme_trace", "[N=4] [num_cs=6] [seed=1] [options]");
+  f.custom("--span", "SITE:SEQ",
+           "narrow the timeline to one request's story",
+           [&only_span](const std::string& v) {
+             only_span = obs::parse_span(v);
+             if (only_span == kNoSpan)
+               throw flags::Error("bad span '" + v +
+                                  "' (expected SITE:SEQ or a packed id)");
+           })
+      .value("--lock", &only_lock, "ID", "slice the timeline to one lock")
+      .min(0, "--lock wants a lock id >= 0")
+      .value("--locks", &num_locks, "M",
+             "shard the scenario over M independent locks (default 1)")
+      .min(1, "--locks needs a positive count")
+      .toggle("--crit", &crit,
+              "highlight the slowest (or --span's) critical path")
+      .optional("--json", &json, &json_path, "PATH",
+                "Chrome trace-event JSON (stdout without PATH)")
+      .value("--timeline", &timeline_path, "FILE",
+             "render a bench/timeline JSON as ASCII sparklines (no run)");
+  const std::vector<std::string> positional = f.parse(argc, argv);
   if (!timeline_path.empty()) return render_timeline(timeline_path);
-  if (positional.size() > 3) {
-    usage();
-    return 2;
-  }
+  if (positional.size() > 3)
+    f.fail("at most three positionals: [N] [num_cs] [seed]");
   if (only_lock != kNoLock && only_lock >= num_locks) {
     std::cerr << "dqme_trace: --lock=" << only_lock << " out of range "
               << "(run has " << num_locks << " lock"
               << (num_locks == 1 ? "" : "s") << "; raise --locks)\n";
     return 2;
   }
-  const int n = !positional.empty() ? std::atoi(positional[0].c_str()) : 4;
-  const uint64_t num_cs =
-      positional.size() > 1 ? std::strtoull(positional[1].c_str(), nullptr, 10)
-                            : 6;
-  const uint64_t seed =
-      positional.size() > 2 ? std::strtoull(positional[2].c_str(), nullptr, 10)
-                            : 1;
+  int n = 4;
+  uint64_t num_cs = 6, seed = 1;
+  try {
+    if (!positional.empty()) n = flags::to_number<int>("N", positional[0]);
+    if (positional.size() > 1)
+      num_cs = flags::to_number<uint64_t>("num_cs", positional[1]);
+    if (positional.size() > 2)
+      seed = flags::to_number<uint64_t>("seed", positional[2]);
+  } catch (const flags::Error& e) {
+    f.fail(e.what());
+  }
   if (n < 2) {
     std::cerr << "N must be >= 2\n";
     return 2;
