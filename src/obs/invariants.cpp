@@ -46,8 +46,13 @@ std::string InvariantChecker::lock_tag(LockId lock) {
 }
 
 bool InvariantChecker::is_active(const Ledger& led, const ReqId& req) {
-  auto it = led.active_span.find(req.site);
-  return it != led.active_span.end() && it->second == span_of(req);
+  return is_active_span(led, req.site, span_of(req));
+}
+
+bool InvariantChecker::is_active_span(const Ledger& led, SiteId site,
+                                      SpanId span) {
+  auto it = led.active_span.find(site);
+  return it != led.active_span.end() && it->second == span;
 }
 
 void InvariantChecker::discharge(Ledger& led, SiteId arbiter, SiteId holder) {
@@ -143,8 +148,18 @@ void InvariantChecker::observe(const net::Message& m, LockId lock, Time at) {
         break;
       }
       if (m.src == m.arbiter) {
-        // Direct grant: the arbiter believes its permission is free.
-        if (holder.site != kNoSite && holder.site != grantee) {
+        // Direct grant: the arbiter believes its permission is free. One
+        // exception: the arbiter's own request held the permission and has
+        // since exited the CS. Then this reply is that request's Step C.1
+        // forward, and the self-addressed release(i, j) that moves the
+        // permission may reach the ledger after it: channels are FIFO only
+        // pairwise, and the rt backend sends self-messages through the
+        // pump like any other channel. The exit edge is recorded before
+        // do_release sends anything, so the span is no longer active here.
+        const bool own_forward =
+            holder.site == m.src && !is_active_span(led, m.src, holder.span);
+        if (!own_forward && holder.site != kNoSite &&
+            holder.site != grantee) {
           std::ostringstream os;
           os << "permission: arbiter " << m.arbiter << " granted to "
              << grantee << " at " << at << " while site " << holder.site

@@ -12,7 +12,12 @@
 //                     ledger, crash-aware; the repo's only permission
 //                     checker). Grants to a request that is not open are
 //                     stale and ignored, so scripted traffic must issue
-//                     the grantee's span first;
+//                     the grantee's span first. The ledger judges the
+//                     execution, not one delivery order: a forwarded
+//                     reply and the release that accounts for it travel
+//                     on different channels, so either may arrive first —
+//                     also when the forwarder is the arbiter itself and
+//                     the release is self-addressed;
 //   (b) conservation— every `transfer` an arbiter sends its lock holder is
 //                     eventually discharged: by the proxy-forwarded `reply`,
 //                     a parameterized `release`, a `yield`, or a crash of
@@ -154,6 +159,9 @@ class InvariantChecker final : public mutex::SpanObserver {
   // the condition under which a receiver honours rather than stale-drops a
   // message about it (DESIGN.md D1).
   static bool is_active(const Ledger& led, const ReqId& req);
+  // Same test by (site, span). An arbiter whose permission is held by its
+  // own no-longer-active span can only be forwarding it (Step C.1).
+  static bool is_active_span(const Ledger& led, SiteId site, SpanId span);
   void discharge(Ledger& led, SiteId arbiter, SiteId holder);
   void progress(Ledger& led, SpanId span, Time at);
   void arm_watchdog();

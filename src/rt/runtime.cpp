@@ -80,12 +80,6 @@ void Runtime::send_bundle(SiteId src, SiteId dst, const net::Message* msgs,
     slot.m.src = src;
     slot.m.dst = dst;
     slot.m.sent_at = at;
-    // Self-addressed messages follow the simulator's semantics: delivered
-    // "immediately" (they bypass the wire delay, and their observability
-    // event is stamped here, at the send instant — the moment sim-side
-    // invariants expect the delivery to have happened). The actual handler
-    // still runs from the pump loop, never re-entrantly.
-    if (src == dst && opts_.obs_feed) record_deliver(dst, slot.m, lock);
     enqueue(src, dst, slot);
   }
   control_messages_.fetch_add(n, std::memory_order_relaxed);
@@ -218,9 +212,9 @@ bool Runtime::dispatch(SiteId dst, const WireSlot& slot) {
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);
     return false;
   }
-  // Self deliveries were recorded at send (sim's immediate-delivery
-  // semantics); only wire deliveries are recorded here.
-  if (opts_.obs_feed && m.src != dst) record_deliver(dst, m, slot.lock);
+  // Recorded right before the handler runs, so the feed sees each
+  // delivery when the receiver does.
+  if (opts_.obs_feed) record_deliver(dst, m, slot.lock);
   net::NetSite* site = sites_[static_cast<size_t>(dst)];
   DQME_CHECK_MSG(site != nullptr, "delivery to unattached site " << dst);
   site->on_message(m, slot.lock);

@@ -69,11 +69,13 @@ struct RuntimeOptions {
   // paper's T on real threads — with it, contended throughput is bound by
   // how many protocol pipelines the backend keeps in flight concurrently,
   // not by raw CPU, which is what a distributed deployment looks like.
-  // Self-addressed (src == dst) messages are exempt, matching the
-  // simulator's immediate self-delivery (several invariants — e.g. the
-  // arbiter's self-release racing its next grant — assume it). The
-  // consumer gates on the timestamp; nothing sleeps, so per-channel FIFO
-  // and the quiescence protocol are unchanged.
+  // Self-addressed (src == dst) messages are exempt from the delay, as the
+  // simulator delivers them at zero delay. They still go through the pump
+  // like any other channel, and are recorded in the obs feed when popped,
+  // so another site may handle a message sent after them first — a legal
+  // execution under per-channel FIFO (DESIGN.md §9). The consumer gates on
+  // the timestamp; nothing sleeps, so per-channel FIFO and the quiescence
+  // protocol are unchanged.
   uint64_t wire_delay_us = 0;
 };
 

@@ -234,6 +234,65 @@ TEST(InvariantChecker, AcceptsLegalHandoffEitherMessageOrder) {
   }
 }
 
+// The same handoff when the holder is the arbiter's own request: site 0
+// exits holding arbiter 0's permission with a transfer to site 2, so it
+// forwards reply(arbiter 0) on channel 0->2 and sends itself release(R0, R2)
+// on channel 0->0. The simulator always delivers the self-release first;
+// the rt backend may record the forward first. Neither order is a
+// violation, and either way the permission ends at site 2.
+TEST(InvariantChecker, AcceptsArbiterForwardOfOwnPermissionEitherOrder) {
+  const ReqId r0{5, 0};
+  const ReqId r1{30, 1};
+  for (const bool release_first : {false, true}) {
+    Script s;
+    s.checker.on_span_issue(0, kLock0, span_of(r0), 0);
+    s.checker.observe(s.wire(net::make_reply(0, r0), 0, 0, 1), 1);
+    s.checker.on_span_enter(0, kLock0, span_of(r0), 2);
+    s.checker.on_span_issue(2, kLock0, span_of(kR2), 3);
+    s.checker.observe(s.wire(net::make_transfer(kR2, 0, r0), 0, 0, 4), 4);
+    s.checker.on_span_exit(0, kLock0, span_of(r0), 10);
+    const net::Message forward = s.wire(net::make_reply(0, kR2), 0, 2, 10);
+    const net::Message release =
+        s.wire(net::make_release(r0, kR2), 0, 0, 10);
+    s.checker.observe(release_first ? release : forward, 11);
+    s.checker.observe(release_first ? forward : release, 12);
+    EXPECT_EQ(s.checker.violations(), 0u)
+        << "release_first=" << release_first << ": "
+        << s.checker.reports().front();
+    // Site 2 now holds the permission: a direct grant to site 1 is a
+    // double grant, and the transfer was discharged by the release.
+    s.checker.on_span_issue(1, kLock0, span_of(r1), 13);
+    s.checker.observe(s.wire(net::make_reply(0, r1), 0, 1, 14), 15);
+    s.checker.finish(20);
+    ASSERT_EQ(s.checker.violations(), 1u) << "release_first=" << release_first;
+    EXPECT_NE(s.checker.reports().front().find(
+                  "granted to 1 at 15 while site 2 still holds its permission"),
+              std::string::npos)
+        << s.checker.reports().front();
+  }
+}
+
+// The arbiter may not grant directly while its own request still holds its
+// permission, whether that request is still collecting replies or is in
+// the CS: only an exited request forwards.
+TEST(InvariantChecker, FlagsArbiterGrantWhileOwnRequestHoldsPermission) {
+  const ReqId r0{5, 0};
+  for (const bool in_cs : {false, true}) {
+    Script s;
+    s.checker.on_span_issue(0, kLock0, span_of(r0), 0);
+    s.checker.observe(s.wire(net::make_reply(0, r0), 0, 0, 1), 1);
+    if (in_cs) s.checker.on_span_enter(0, kLock0, span_of(r0), 2);
+    s.checker.on_span_issue(2, kLock0, span_of(kR2), 3);
+    s.checker.observe(s.wire(net::make_reply(0, kR2), 0, 2, 4), 8);
+    ASSERT_EQ(s.checker.violations(), 1u) << "in_cs=" << in_cs;
+    EXPECT_NE(s.checker.reports().front().find(
+                  "arbiter 0 granted to 2 at 8 while site 0 still holds its "
+                  "permission"),
+              std::string::npos)
+        << s.checker.reports().front();
+  }
+}
+
 TEST(InvariantChecker, FlagsLostTransferAtFinish) {
   Script s;
   s.checker.on_span_issue(1, kLock0,span_of(kR1), 0);
